@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"github.com/dsn2015/vdbench/internal/harness"
@@ -11,12 +10,6 @@ import (
 	"github.com/dsn2015/vdbench/internal/report"
 	"github.com/dsn2015/vdbench/internal/stats"
 )
-
-// deltaOrZero wraps harness.ConfusionDelta for use inside resampling
-// closures, mapping errors to a zero delta (counted as sign-unstable).
-func deltaOrZero(a, b *harness.ToolResult, m metrics.Metric, idx []int) (float64, error) {
-	return harness.ConfusionDelta(a, b, m, idx)
-}
 
 // E3Campaign renders the raw campaign results: per-tool confusion
 // matrices, plus the per-kind sink population of the corpus.
@@ -118,15 +111,12 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 	rng := stats.NewRNG(r.cfg.Seed + 4)
 	for i := range camp.Results {
 		res := &camp.Results[i]
+		col := harness.ConfusionColumn(res)
 		row := []string{res.Tool}
 		for _, id := range []string{metrics.IDF1, metrics.IDMCC} {
 			m := metrics.MustByID(id)
-			iv, err := stats.BootstrapIndexed(rng.Split(), len(res.Outcomes), bootCfg, func(idx []int) float64 {
-				var c metrics.Confusion
-				for _, j := range idx {
-					c = c.Add(res.Outcomes[j].Confusion())
-				}
-				v, err := m.ValueOr(c, worstFallback(m))
+			iv, err := stats.BootstrapIndexed(rng.Split(), len(col), bootCfg, func(idx []int) float64 {
+				v, err := m.ValueOr(harness.GatherConfusion(col, idx), worstFallback(m))
 				if err != nil {
 					return worstFallback(m)
 				}
@@ -244,10 +234,18 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 	// out across the shared worker budget. The per-cell RNG streams are
 	// pre-split in exactly the serial loop's order — pair-major, metric-
 	// minor — which keeps every draw, and hence every published fraction,
-	// byte-identical at any worker count.
+	// byte-identical at any worker count. Each pair's outcomes are packed
+	// once into a pair column shared read-only by its metric cells.
 	nPairs := len(order) - 1
 	if nPairs < 0 {
 		nPairs = 0
+	}
+	cols := make([][]uint8, nPairs)
+	for pair := range cols {
+		cols[pair], err = harness.PairColumn(&camp.Results[order[pair]], &camp.Results[order[pair+1]])
+		if err != nil {
+			return Result{}, err
+		}
 	}
 	rng := stats.NewRNG(r.cfg.Seed + 7)
 	cellRNGs := make([]*stats.RNG, nPairs*len(ids))
@@ -257,11 +255,10 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 	fracs := make([]float64, nPairs*len(ids))
 	err = r.budget.ForEach(len(fracs), func(_, cell int) error {
 		pair, mi := cell/len(ids), cell%len(ids)
-		a := &camp.Results[order[pair]]
-		b := &camp.Results[order[pair+1]]
+		col := cols[pair]
 		m := metrics.MustByID(ids[mi])
-		frac, err := stats.SignStability(cellRNGs[cell], len(a.Outcomes), r.cfg.BootstrapResamples, func(idx []int) float64 {
-			d, err := deltaOrZero(a, b, m, idx)
+		frac, err := stats.SignStability(cellRNGs[cell], len(col), r.cfg.BootstrapResamples, func(idx []int) float64 {
+			d, err := harness.PackedDelta(col, m, idx)
 			if err != nil {
 				return 0
 			}

@@ -58,11 +58,7 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 
 	var ledgerSkip *harness.Campaign // panic mode @10%, for the ledger table
 	for i, rate := range e18Rates {
-		skipCamp, err := r.e18Campaign(ctx, corpus, faulty.ModePanic, rate, harness.DegradedSkip, harness.RetryPolicy{})
-		if err != nil {
-			return Result{}, err
-		}
-		missCamp, err := r.e18Campaign(ctx, corpus, faulty.ModePanic, rate, harness.DegradedCountMiss, harness.RetryPolicy{})
+		skipCamp, missCamp, err := r.e18PanicCampaigns(ctx, corpus, rate)
 		if err != nil {
 			return Result{}, err
 		}
@@ -181,18 +177,11 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 // seed and is rate-nested: the cases lost at 1% are a subset of those
 // lost at 5%, and so on up the sweep.
 func (r *Runner) e18Campaign(ctx context.Context, corpus *workload.Corpus, mode faulty.Mode, rate float64, policy harness.DegradedPolicy, retry harness.RetryPolicy) (*harness.Campaign, error) {
-	tools, err := detectors.StandardSuite()
+	tools, err := r.e18Tools(mode, rate)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: tool suite: %w", err)
+		return nil, err
 	}
-	wrapped := make([]detectors.Tool, len(tools))
-	for i, tool := range tools {
-		wrapped[i], err = faulty.Wrap(tool, faulty.Config{Mode: mode, Rate: rate, Seed: r.cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: wrap %s: %w", tool.Name(), err)
-		}
-	}
-	camp, err := harness.RunCtx(ctx, corpus, wrapped, harness.Options{
+	camp, err := harness.RunCtx(ctx, corpus, tools, harness.Options{
 		Seed:     r.cfg.Seed,
 		Workers:  r.cfg.Workers,
 		Retry:    retry,
@@ -202,6 +191,48 @@ func (r *Runner) e18Campaign(ctx context.Context, corpus *workload.Corpus, mode 
 		return nil, fmt.Errorf("experiments: degraded campaign (mode %s, rate %g): %w", mode, rate, err)
 	}
 	return camp, nil
+}
+
+// e18PanicCampaigns returns the panic-fault campaigns at one rate under
+// the skip and count-miss policies. The two share corpus, tools, seed and
+// fault placement and differ only in how failed cells are scored, which
+// MergeShards applies at merge time; so the cell grid runs once and is
+// merged under each policy. Each merge equals its own RunCtx campaign.
+func (r *Runner) e18PanicCampaigns(ctx context.Context, corpus *workload.Corpus, rate float64) (skip, miss *harness.Campaign, err error) {
+	tools, err := r.e18Tools(faulty.ModePanic, rate)
+	if err != nil {
+		return nil, nil, err
+	}
+	wrap := func(err error) error {
+		return fmt.Errorf("experiments: degraded campaign (mode %s, rate %g): %w", faulty.ModePanic, rate, err)
+	}
+	opts := harness.Options{Seed: r.cfg.Seed, Workers: r.cfg.Workers}
+	cells, err := harness.RunShardCtx(ctx, corpus, tools, opts, 0, len(corpus.Cases))
+	if err != nil {
+		return nil, nil, wrap(err)
+	}
+	if skip, err = harness.MergeShards(corpus, tools, cells, harness.DegradedSkip); err != nil {
+		return nil, nil, wrap(err)
+	}
+	if miss, err = harness.MergeShards(corpus, tools, cells, harness.DegradedCountMiss); err != nil {
+		return nil, nil, wrap(err)
+	}
+	return skip, miss, nil
+}
+
+// e18Tools wraps the standard suite with fault injection.
+func (r *Runner) e18Tools(mode faulty.Mode, rate float64) ([]detectors.Tool, error) {
+	tools, err := detectors.StandardSuite()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: tool suite: %w", err)
+	}
+	for i, tool := range tools {
+		tools[i], err = faulty.Wrap(tool, faulty.Config{Mode: mode, Rate: rate, Seed: r.cfg.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: wrap %s: %w", tool.Name(), err)
+		}
+	}
+	return tools, nil
 }
 
 // e18Distortion compares one metric across the two campaigns tool by

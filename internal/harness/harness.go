@@ -280,6 +280,8 @@ func (c *Campaign) MetricScores(m metrics.Metric, fallback float64) ([]float64, 
 // (goodness-oriented, tool a minus tool b) over a resampled subset of sink
 // outcomes identified by indices into the outcome slices. Both tools must
 // come from the same campaign so their outcome slices align sink-for-sink.
+// PackedDelta computes the same value from a PairColumn; this function is
+// its reference.
 func ConfusionDelta(a, b *ToolResult, m metrics.Metric, idx []int) (float64, error) {
 	if len(a.Outcomes) != len(b.Outcomes) {
 		return 0, errors.New("harness: tools come from different campaigns")
@@ -289,9 +291,16 @@ func ConfusionDelta(a, b *ToolResult, m metrics.Metric, idx []int) (float64, err
 		if i < 0 || i >= len(a.Outcomes) {
 			return 0, fmt.Errorf("harness: outcome index %d out of range", i)
 		}
-		ca = ca.Add(a.Outcomes[i].Confusion())
-		cb = cb.Add(b.Outcomes[i].Confusion())
+		oa, ob := &a.Outcomes[i], &b.Outcomes[i]
+		ca = ca.Add(oa.Confusion())
+		cb = cb.Add(ob.Confusion())
 	}
+	return confusionDelta(ca, cb, m)
+}
+
+// confusionDelta is the goodness-oriented metric delta of two resampled
+// confusion matrices, with undefined values at the metric's worst end.
+func confusionDelta(ca, cb metrics.Confusion, m metrics.Metric) (float64, error) {
 	va, err := m.ValueOr(ca, worstValue(m))
 	if err != nil {
 		return 0, err
@@ -301,6 +310,88 @@ func ConfusionDelta(a, b *ToolResult, m metrics.Metric, idx []int) (float64, err
 		return 0, err
 	}
 	return m.Goodness(va) - m.Goodness(vb), nil
+}
+
+// Packed confusion columns hold one outcome per byte as a two-bit cell
+// code. Resampling loops build a column once per tool (or tool pair) and
+// then gather each resample as a small histogram over the index vector,
+// instead of reading and re-classifying an outcome struct per index. The
+// gathered counts are integers, so they equal the per-outcome sums in
+// any order and every resampled statistic stays bit-identical.
+const (
+	cellTP uint8 = iota
+	cellFP
+	cellFN
+	cellTN
+)
+
+// cell returns the outcome's confusion cell code.
+func (o *SinkOutcome) cell() uint8 {
+	switch {
+	case o.Vulnerable && o.Flagged:
+		return cellTP
+	case o.Vulnerable:
+		return cellFN
+	case o.Flagged:
+		return cellFP
+	default:
+		return cellTN
+	}
+}
+
+// cellsConfusion turns per-code counts into a confusion matrix.
+func cellsConfusion(n [4]int) metrics.Confusion {
+	return metrics.Confusion{TP: n[cellTP], FP: n[cellFP], FN: n[cellFN], TN: n[cellTN]}
+}
+
+// ConfusionColumn packs a tool's outcomes into one cell code per sink,
+// for GatherConfusion.
+func ConfusionColumn(r *ToolResult) []uint8 {
+	col := make([]uint8, len(r.Outcomes))
+	for i := range r.Outcomes {
+		col[i] = r.Outcomes[i].cell()
+	}
+	return col
+}
+
+// GatherConfusion returns the confusion matrix of the outcomes idx
+// selects (with repetition) from a ConfusionColumn: the sum of
+// Outcomes[i].Confusion() over idx.
+func GatherConfusion(col []uint8, idx []int) metrics.Confusion {
+	var n [4]int
+	for _, i := range idx {
+		n[col[i]&3]++
+	}
+	return cellsConfusion(n)
+}
+
+// PairColumn folds two tools' aligned outcomes into one byte per sink,
+// cell(a)<<2 | cell(b), for PackedDelta. Both tools must come from the
+// same campaign.
+func PairColumn(a, b *ToolResult) ([]uint8, error) {
+	if len(a.Outcomes) != len(b.Outcomes) {
+		return nil, errors.New("harness: tools come from different campaigns")
+	}
+	col := make([]uint8, len(a.Outcomes))
+	for i := range col {
+		col[i] = a.Outcomes[i].cell()<<2 | b.Outcomes[i].cell()
+	}
+	return col, nil
+}
+
+// PackedDelta is ConfusionDelta over a PairColumn: one 16-bin histogram
+// of idx yields both tools' confusion matrices.
+func PackedDelta(col []uint8, m metrics.Metric, idx []int) (float64, error) {
+	var h [16]int
+	for _, i := range idx {
+		h[col[i]&15]++
+	}
+	var na, nb [4]int
+	for code, n := range h {
+		na[code>>2] += n
+		nb[code&3] += n
+	}
+	return confusionDelta(cellsConfusion(na), cellsConfusion(nb), m)
 }
 
 // worstValue returns a pessimistic fallback for undefined metric values in

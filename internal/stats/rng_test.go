@@ -264,21 +264,39 @@ func TestShuffleSwapCount(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
+// TestIntnGolden pins Intn's draw sequences: the expected values were
+// captured from the hand-rolled 128-bit multiply that bits.Mul64 replaced,
+// so any change to the bounded-sampling arithmetic shows here before it
+// reaches a results file. consumed is the number of Uint64 draws the
+// eight calls took; n = 1<<62+1 rejects about a quarter of its draws, so
+// its count above eight proves the rejection branch ran.
+func TestIntnGolden(t *testing.T) {
 	cases := []struct {
-		a, b   uint64
-		hi, lo uint64
+		n        int
+		consumed int
+		want     []int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+		{1, 8, []int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{2, 8, []int{0, 0, 1, 1, 1, 1, 1, 1}},
+		{561, 8, []int{47, 212, 381, 518, 556, 431, 403, 476}},
+		{2000, 8, []int{167, 757, 1360, 1849, 1983, 1539, 1438, 1700}},
+		{1 << 40, 8, []int{92208311820, 416693192301, 747715637817, 1016710645507, 1090499936226, 846337487105, 790833169754, 934594167787}},
+		{1<<62 + 1, 10, []int{386749691100639685, 1747737923241135775, 3136146690562139752, 4573888244516329369, 3549796707516437646, 3919972056329453602, 3511219587673086240, 2690223855575232271}},
+		{1<<63 - 1, 8, []int{773499382201279370, 3495475846482271550, 6272293381124279503, 8528787054591062095, 9147776489032658737, 7099593415032875291, 6633989454467100376, 7839944112658907202}},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		r := NewRNG(42)
+		for i, want := range c.want {
+			if got := r.Intn(c.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+		ref := NewRNG(42)
+		for i := 0; i < c.consumed; i++ {
+			ref.Uint64()
+		}
+		if got, want := r.Uint64(), ref.Uint64(); got != want {
+			t.Errorf("Intn(%d): stream position after %d draws differs from %d raw draws", c.n, len(c.want), c.consumed)
 		}
 	}
 }
