@@ -32,9 +32,9 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/dsn2015/vdbench"
+	"github.com/dsn2015/vdbench/internal/experiments"
 )
 
 func main() {
@@ -46,22 +46,16 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vdbench", flag.ContinueOnError)
+	policyConfig := experiments.BindPolicyFlags(fs)
 	var (
-		quick        = fs.Bool("quick", false, "use the reduced smoke-run configuration")
-		seed         = fs.Uint64("seed", 0, "override the experiment seed (0 = keep default)")
-		services     = fs.Int("services", 0, "override the campaign corpus size (0 = keep default)")
-		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "campaign worker-pool size (output is identical for every value)")
-		toolTimeout  = fs.Duration("tool-timeout", 0, "per-tool deadline for each campaign case (0 = none, otherwise >= 1s)")
-		retries      = fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
-		retryBackoff = fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
-		degraded     = fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
-		interp       = fs.Bool("interpreter", false, "execute services on the reference tree-walking interpreter instead of the bytecode VM (output is identical, the VM is faster)")
-		oracleExh    = fs.Bool("oracle-exhaustive", false, "derive ground truth with the unpruned exhaustive oracle search instead of the influence-guided one (output is identical, the pruned search is faster)")
-		format       = fs.String("format", "text", "output format: text, csv, markdown or json (tables only for csv/markdown)")
-		outDir       = fs.String("out", "", "also write per-experiment artefacts (.txt, .csv, .svg) into this directory")
-		list         = fs.Bool("list", false, "list the available experiments and exit")
-		distributed  = fs.String("distributed", "", "coordinator base URL; runs the benchmark campaign on its worker fleet (output is byte-identical to a local run)")
-		shardCases   = fs.Int("shard-cases", 0, "corpus cases per distributed shard (0 = coordinator default; only with -distributed)")
+		seed        = fs.Uint64("seed", 0, "override the experiment seed (0 = keep default)")
+		services    = fs.Int("services", 0, "override the campaign corpus size (0 = keep default)")
+		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "campaign worker-pool size (output is identical for every value)")
+		format      = fs.String("format", "text", "output format: text, csv, markdown or json (tables only for csv/markdown)")
+		outDir      = fs.String("out", "", "also write per-experiment artefacts (.txt, .csv, .svg) into this directory")
+		list        = fs.Bool("list", false, "list the available experiments and exit")
+		distributed = fs.String("distributed", "", "coordinator base URL; runs the benchmark campaign on its worker fleet (output is byte-identical to a local run)")
+		shardCases  = fs.Int("shard-cases", 0, "corpus cases per distributed shard (0 = coordinator default; only with -distributed)")
 	)
 	fs.SetOutput(out)
 	fs.Usage = func() {
@@ -85,28 +79,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d (campaign output is identical for every positive value)", *workers)
 	}
-	// Reject bad execution-policy flags here, with flag vocabulary, rather
-	// than letting them surface as harness errors deep inside the first
-	// campaign.
-	if *retryBackoff < 0 {
-		return fmt.Errorf("-retry-backoff must be non-negative, got %v", *retryBackoff)
-	}
-	if *toolTimeout < 0 || (*toolTimeout > 0 && *toolTimeout < time.Second) {
-		return fmt.Errorf("-tool-timeout must be 0 (disabled) or at least 1s, got %v (a tighter deadline would make results hardware-dependent)", *toolTimeout)
+	cfg, err := policyConfig()
+	if err != nil {
+		return err
 	}
 	if *shardCases < 0 {
 		return fmt.Errorf("-shard-cases must be non-negative, got %d", *shardCases)
 	}
 	if *shardCases > 0 && *distributed == "" {
 		return fmt.Errorf("-shard-cases only applies with -distributed")
-	}
-	policy, err := vdbench.ParseDegradedPolicy(*degraded)
-	if err != nil {
-		return err
-	}
-	cfg := vdbench.DefaultExperimentConfig()
-	if *quick {
-		cfg = vdbench.QuickExperimentConfig()
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -115,11 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Services = *services
 	}
 	cfg.Workers = *workers
-	cfg.PerToolTimeout = *toolTimeout
-	cfg.Retry = vdbench.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
-	cfg.Degraded = policy
-	cfg.Interpreter = *interp
-	cfg.OracleExhaustive = *oracleExh
 	target := strings.ToLower(fs.Arg(0))
 
 	// Ctrl-C aborts the campaign at its next (tool, case) cell rather

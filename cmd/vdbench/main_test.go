@@ -154,20 +154,16 @@ func TestRunExecutionPolicyFlagsPreserveOutput(t *testing.T) {
 	}
 }
 
-// TestRunOracleExhaustiveFlagPreservesOutput: the -oracle-exhaustive
-// escape hatch re-derives every label the expensive way; the output
-// must be byte-identical to the default influence-guided derivation
-// (the cache-key exclusion relies on exactly this invariance).
-func TestRunOracleExhaustiveFlagPreservesOutput(t *testing.T) {
-	var pruned, exhaustive strings.Builder
-	if err := run(context.Background(), []string{"-quick", "e3"}, &pruned); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-quick", "-oracle-exhaustive", "e3"}, &exhaustive); err != nil {
-		t.Fatal(err)
-	}
-	if pruned.String() != exhaustive.String() {
-		t.Fatal("-oracle-exhaustive changed the experiment output")
+// TestRunRemovedModeFlagsUndefined: the reference interpreter and the
+// exhaustive oracle are test references, not runtime modes; their old
+// flags must fail as undefined instead of being silently accepted.
+func TestRunRemovedModeFlagsUndefined(t *testing.T) {
+	for _, flag := range []string{"-interpreter", "-oracle-exhaustive"} {
+		var out strings.Builder
+		err := run(context.Background(), []string{flag, "e1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want flag provided but not defined", flag, err)
+		}
 	}
 }
 

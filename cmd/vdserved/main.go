@@ -50,8 +50,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dsn2015/vdbench"
 	"github.com/dsn2015/vdbench/internal/dist"
+	"github.com/dsn2015/vdbench/internal/experiments"
 	"github.com/dsn2015/vdbench/internal/service"
 )
 
@@ -64,19 +64,13 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vdserved", flag.ContinueOnError)
+	policyConfig := experiments.BindPolicyFlags(fs)
 	var (
 		addr            = fs.String("addr", "127.0.0.1:8344", "listen address")
 		workers         = fs.Int("workers", 2, "job worker-pool size (concurrent campaigns)")
 		campaignWorkers = fs.Int("campaign-workers", 0, "per-campaign worker budget (0 = all cores; results are identical for every value)")
 		queueCap        = fs.Int("queue", 64, "maximum queued jobs")
 		cacheMB         = fs.Int64("cache-mb", 256, "result-cache byte budget in MiB (0 disables)")
-		quick           = fs.Bool("quick", false, "use the reduced smoke-run configuration as the base config")
-		toolTimeout     = fs.Duration("tool-timeout", 0, "per-tool deadline for each campaign case (0 = none, otherwise >= 1s)")
-		retries         = fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
-		retryBackoff    = fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
-		degraded        = fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
-		interp          = fs.Bool("interpreter", false, "execute services on the reference tree-walking interpreter instead of the bytecode VM (output is identical, the VM is faster)")
-		oracleExh       = fs.Bool("oracle-exhaustive", false, "derive ground truth with the unpruned exhaustive oracle search instead of the influence-guided one (output is identical, the pruned search is faster)")
 		dataDir         = fs.String("data-dir", "", "directory for the durable job store (journal + content-addressed results); empty keeps jobs in memory only")
 		drain           = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight HTTP requests and running campaigns")
 		coordinator     = fs.Bool("coordinator", false, "serve the distributed-campaign coordinator instead of the experiment job API")
@@ -92,14 +86,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	// Reject bad execution-policy flags here, with flag vocabulary, rather
-	// than letting them surface as harness errors deep inside the first
-	// campaign.
-	if *retryBackoff < 0 {
-		return fmt.Errorf("-retry-backoff must be non-negative, got %v", *retryBackoff)
-	}
-	if *toolTimeout < 0 || (*toolTimeout > 0 && *toolTimeout < time.Second) {
-		return fmt.Errorf("-tool-timeout must be 0 (disabled) or at least 1s, got %v (a tighter deadline would make results hardware-dependent)", *toolTimeout)
+	base, err := policyConfig()
+	if err != nil {
+		return err
 	}
 	if *coordinator && *workerMode {
 		return errors.New("-coordinator and -worker are mutually exclusive")
@@ -131,20 +120,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *campaignWorkers < 0 {
 		return fmt.Errorf("-campaign-workers must be non-negative, got %d (results are identical for every value)", *campaignWorkers)
 	}
-	policy, err := vdbench.ParseDegradedPolicy(*degraded)
-	if err != nil {
-		return err
-	}
-	base := vdbench.DefaultExperimentConfig()
-	if *quick {
-		base = vdbench.QuickExperimentConfig()
-	}
 	base.Workers = *campaignWorkers
-	base.PerToolTimeout = *toolTimeout
-	base.Retry = vdbench.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
-	base.Degraded = policy
-	base.Interpreter = *interp
-	base.OracleExhaustive = *oracleExh
 	if err := base.Validate(); err != nil {
 		return err
 	}

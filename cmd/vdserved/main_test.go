@@ -65,15 +65,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunOracleExhaustiveFlagParses pins the -oracle-exhaustive escape
-// hatch into the flag set: parsing must get past the flag (and then
-// fail on the deliberate positional argument) rather than reject it as
-// undefined.
-func TestRunOracleExhaustiveFlagParses(t *testing.T) {
-	var out syncWriter
-	err := run(context.Background(), []string{"-oracle-exhaustive", "positional"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
-		t.Fatalf("-oracle-exhaustive not accepted by the flag set: %v", err)
+// TestRunRemovedModeFlagsUndefined: the reference interpreter and the
+// exhaustive oracle are test references, not runtime modes; their old
+// flags must fail as undefined instead of being silently accepted.
+func TestRunRemovedModeFlagsUndefined(t *testing.T) {
+	for _, flag := range []string{"-interpreter", "-oracle-exhaustive"} {
+		var out syncWriter
+		err := run(context.Background(), []string{flag}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want flag provided but not defined", flag, err)
+		}
 	}
 }
 
@@ -281,8 +282,6 @@ func daemonBaseQuick() vdbench.ExperimentConfig {
 	cfg.PerToolTimeout = 0
 	cfg.Retry = vdbench.RetryPolicy{}
 	cfg.Degraded = vdbench.DegradedAbort
-	cfg.Interpreter = false
-	cfg.OracleExhaustive = false
 	return cfg
 }
 

@@ -485,9 +485,47 @@ func TestShardKeyCanonicalization(t *testing.T) {
 	mut.Options.Workers = 7
 	mut.Options.PerToolTimeout = time.Minute
 	mut.Options.Retry.Backoff = time.Second
-	mut.Options.Interpreter = true
 	if mut.ShardKey(0, 8) != key {
 		t.Fatal("shard key sensitive to an operational knob")
+	}
+}
+
+// TestShardKeyGolden pins the shard address of a fixed spec to the value
+// computed before the interpreter and exhaustive-oracle runtime modes
+// were removed, so shard caches keep their addresses across that change.
+func TestShardKeyGolden(t *testing.T) {
+	spec := CampaignSpec{
+		Workload: testWorkload(1),
+		Suite:    "standard",
+		Options:  harness.Options{Seed: 4, Retry: harness.RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond}},
+	}
+	const want = "6bb08a3e1cc2978b697f4f9233686b786503bb420e650335b0d73752843b74e5"
+	if got := spec.ShardKey(0, 8); got != want {
+		t.Fatalf("ShardKey(0, 8) = %s, want %s", got, want)
+	}
+}
+
+// TestSubmitRejectsRemovedOptions: a submit body that still carries the
+// removed Interpreter execution option is a malformed spec, not a
+// silently ignored knob.
+func TestSubmitRejectsRemovedOptions(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	body := `{"workload":{"Services":10,"TargetPrevalence":0.5,"Seed":1},"suite":"standard","options":{"Seed":1,"Interpreter":true}}`
+	resp, err := http.Post(srv.URL+"/dist/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb distErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "malformed campaign spec") {
+		t.Fatalf("submit with Interpreter option: status %d, error %q; want 400 malformed campaign spec", resp.StatusCode, eb.Error)
 	}
 }
 
@@ -568,15 +606,6 @@ func TestCorpusCacheReusesCorpora(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Config, cfg) {
 		t.Fatal("cached corpus does not echo its config")
-	}
-	icfg := cfg
-	icfg.Interpreter = true
-	c, err := corpusFor(icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("cache conflated interpreter and VM configs")
 	}
 }
 

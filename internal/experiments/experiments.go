@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,7 +47,7 @@ type Config struct {
 	// the bootstrap resampling loops and the experiment drivers
 	// themselves. 0 selects runtime.GOMAXPROCS(0), 1 forces serial
 	// execution. Every output is byte-identical for every value (see
-	// harness.RunParallel, stats.Bootstrap, metricprop.AnalyzeCatalog).
+	// harness.RunCtx, stats.Bootstrap, metricprop.AnalyzeCatalog).
 	Workers int
 	// PerToolTimeout, Retry and Degraded are the campaign execution
 	// policy (see harness.Options). Like Workers, they are operational
@@ -57,19 +58,6 @@ type Config struct {
 	PerToolTimeout time.Duration
 	Retry          harness.RetryPolicy
 	Degraded       harness.DegradedPolicy
-	// Interpreter runs corpus labelling and campaign probing through the
-	// reference tree-walking interpreter instead of the default bytecode
-	// VM (see harness.Options.Interpreter). Outputs are byte-identical
-	// either way — the differential suite and the interpreter≡VM
-	// determinism pin enforce it — so, like the execution-policy knobs
-	// above, the flag is excluded from experiment cache keys.
-	Interpreter bool
-	// OracleExhaustive labels corpora through the unpruned reference
-	// oracle search instead of the default influence-guided one (see
-	// workload.Config.OracleExhaustive). Labels and witnesses are
-	// search-independent — the pruning differential suite enforces it —
-	// so the flag is likewise excluded from experiment cache keys.
-	OracleExhaustive bool
 }
 
 // DefaultConfig returns the configuration used for the published numbers
@@ -140,6 +128,39 @@ func (c Config) Validate() error {
 	return c.Prop.Validate()
 }
 
+// BindPolicyFlags registers the execution-policy flags cmd/vdbench and
+// cmd/vdserved share (-quick, -tool-timeout, -retries, -retry-backoff,
+// -degraded) on fs. The returned function, called after fs.Parse,
+// rejects bad values with flag vocabulary and returns QuickConfig or
+// DefaultConfig with the policy applied.
+func BindPolicyFlags(fs *flag.FlagSet) func() (Config, error) {
+	quick := fs.Bool("quick", false, "use the reduced smoke-run configuration")
+	toolTimeout := fs.Duration("tool-timeout", 0, "per-tool deadline for each campaign case (0 = none, otherwise >= 1s)")
+	retries := fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
+	retryBackoff := fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
+	degraded := fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
+	return func() (Config, error) {
+		if *retryBackoff < 0 {
+			return Config{}, fmt.Errorf("-retry-backoff must be non-negative, got %v", *retryBackoff)
+		}
+		if *toolTimeout < 0 || (*toolTimeout > 0 && *toolTimeout < time.Second) {
+			return Config{}, fmt.Errorf("-tool-timeout must be 0 (disabled) or at least 1s, got %v (a tighter deadline would make results hardware-dependent)", *toolTimeout)
+		}
+		policy, err := harness.ParseDegradedPolicy(*degraded)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg := DefaultConfig()
+		if *quick {
+			cfg = QuickConfig()
+		}
+		cfg.PerToolTimeout = *toolTimeout
+		cfg.Retry = harness.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
+		cfg.Degraded = policy
+		return cfg, nil
+	}
+}
+
 // execOptions assembles the harness execution options for this run's
 // campaigns.
 func (c Config) execOptions() harness.Options {
@@ -149,7 +170,6 @@ func (c Config) execOptions() harness.Options {
 		PerToolTimeout: c.PerToolTimeout,
 		Retry:          c.Retry,
 		Degraded:       c.Degraded,
-		Interpreter:    c.Interpreter,
 	}
 }
 
@@ -288,8 +308,6 @@ func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 		Services:         r.cfg.Services,
 		TargetPrevalence: r.cfg.Prevalence,
 		Seed:             r.cfg.Seed,
-		Interpreter:      r.cfg.Interpreter,
-		OracleExhaustive: r.cfg.OracleExhaustive,
 	}
 	if r.exec != nil {
 		campaign, err := r.exec.ExecuteCampaign(ctx, wcfg, "standard", r.cfg.execOptions())

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/metricprop"
 )
 
@@ -70,24 +74,30 @@ func TestAllIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAllIdenticalInterpreterVsVM extends the determinism matrix along
-// the execution-engine axis: the full rendered output of every
-// experiment on the reference tree-walking interpreter must be
-// byte-identical to the bytecode VM's, for several seeds and worker
-// counts. Together with TestAllIdenticalAcrossWorkers this closes the
-// (engine × workers × seed) matrix — the engine switch is a speed knob,
-// never a results knob, which is also why CacheKey may exclude it.
-func TestAllIdenticalInterpreterVsVM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine equality matrix is slow")
-	}
-	for _, seed := range []uint64{1, 7, 42} {
-		want := renderAll(t, tinyConfig(seed, 1)) // bytecode VM, the default
-		for _, workers := range []int{1, 2, 4, 13} {
-			cfg := tinyConfig(seed, workers)
-			cfg.Interpreter = true
-			if got := renderAll(t, cfg); got != want {
-				t.Fatalf("seed %d: interpreter output at %d workers differs from VM output", seed, workers)
+// TestDedicatedCampaignsObserveContext: the experiments that run their
+// own campaign (E13 on a skewed corpus, E14 on a combined suite) run it
+// under the caller's context, so a progress listener sees their cells
+// and cancelling the context stops them.
+func TestDedicatedCampaignsObserveContext(t *testing.T) {
+	for _, id := range []string{"e13", "e14"} {
+		for _, workers := range []int{1, 2} {
+			r, err := NewRunner(tinyConfig(1, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var cells atomic.Int64
+			ctx = harness.WithProgress(ctx, func(harness.ProgressEvent) {
+				cells.Add(1)
+				cancel()
+			})
+			_, err = r.RunCtx(ctx, id)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s at %d workers: err = %v, want context.Canceled", id, workers, err)
+			}
+			if cells.Load() == 0 {
+				t.Fatalf("%s at %d workers: progress listener saw no cells", id, workers)
 			}
 		}
 	}

@@ -25,15 +25,10 @@ func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 	baseKey := CacheKey("e1", cfg)
 
 	// excluded reports the fields whose perturbation must NOT move the
-	// key: worker budgets, campaign execution policy, the execution-
-	// engine selector (interpreter≡VM byte-identity is pinned by the
-	// differential suite and TestAllIdenticalInterpreterVsVM) and the
-	// oracle-search selector (pruned≡exhaustive is pinned by the pruning
-	// differential suite).
+	// key: worker budgets and campaign execution policy.
 	excluded := func(name string) bool {
 		return name == "Workers" || strings.HasSuffix(name, ".Workers") ||
 			name == "PerToolTimeout" || name == "Degraded" ||
-			name == "Interpreter" || name == "OracleExhaustive" ||
 			strings.HasPrefix(name, "Retry.")
 	}
 
@@ -74,6 +69,17 @@ func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 	walk(reflect.ValueOf(&cfg).Elem(), "")
 	if got := CacheKey("e1", cfg); got != baseKey {
 		t.Fatalf("walk did not restore the config (key %s vs %s)", got, baseKey)
+	}
+}
+
+// TestCacheKeyGolden pins the content address of the default e1 run to
+// the value computed before the interpreter and exhaustive-oracle
+// runtime modes were removed, so the blob store and result caches keep
+// their addresses across that change.
+func TestCacheKeyGolden(t *testing.T) {
+	const want = "1a0299167cb71b5277220e137ec4d07bedb85db529c4d6515031cc8aad54b310"
+	if got := CacheKey("e1", DefaultConfig()); got != want {
+		t.Fatalf("CacheKey(e1, DefaultConfig()) = %s, want %s", got, want)
 	}
 }
 

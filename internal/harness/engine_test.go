@@ -2,35 +2,8 @@ package harness
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
-
-// TestInterpreterOptionEquivalence pins the Options.Interpreter escape
-// hatch: a campaign executed on the reference tree-walking interpreter
-// must be deep-equal to the same campaign on the default bytecode VM, at
-// every worker count. The engines are locked together at the language
-// level by the differential suite in internal/svclang/compile; this test
-// closes the loop at the campaign level, ledger and all.
-func TestInterpreterOptionEquivalence(t *testing.T) {
-	corpus := testCorpus(t, 50, 3)
-	tools := testTools(t)
-	for _, seed := range []uint64{1, 7, 42} {
-		ref, err := RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: 1, Interpreter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 13} {
-			vm, err := RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref, vm) {
-				t.Fatalf("seed %d: VM campaign at %d workers differs from interpreter campaign", seed, workers)
-			}
-		}
-	}
-}
 
 // campaignAllocBudget is the measured per-run heap allocation count of a
 // 200-service standard-suite campaign on the bytecode VM (RunCtx,

@@ -33,7 +33,7 @@ func testTools(t *testing.T) []detectors.Tool {
 
 func runCampaign(t *testing.T, services int) *Campaign {
 	t.Helper()
-	camp, err := Run(testCorpus(t, services, 1), testTools(t), 42)
+	camp, err := runWorkers(testCorpus(t, services, 1), testTools(t), 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestRunBasicInvariants(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	corpus := testCorpus(t, 40, 5)
-	c1, err1 := Run(corpus, testTools(t), 7)
-	c2, err2 := Run(corpus, testTools(t), 7)
+	c1, err1 := runWorkers(corpus, testTools(t), 7, 1)
+	c2, err2 := runWorkers(corpus, testTools(t), 7, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -84,8 +84,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedAffectsOnlySimulatedTools(t *testing.T) {
 	corpus := testCorpus(t, 40, 5)
-	c1, _ := Run(corpus, testTools(t), 1)
-	c2, _ := Run(corpus, testTools(t), 2)
+	c1, _ := runWorkers(corpus, testTools(t), 1, 1)
+	c2, _ := runWorkers(corpus, testTools(t), 2, 1)
 	for i := range c1.Results {
 		same := c1.Results[i].Overall == c2.Results[i].Overall
 		if c1.Results[i].Class == detectors.ClassSimulated {
@@ -147,20 +147,20 @@ func TestCampaignShape(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	corpus := testCorpus(t, 10, 1)
 	tools := testTools(t)
-	if _, err := Run(nil, tools, 1); err == nil {
+	if _, err := runWorkers(nil, tools, 1, 1); err == nil {
 		t.Error("nil corpus accepted")
 	}
-	if _, err := Run(&workload.Corpus{}, tools, 1); err == nil {
+	if _, err := runWorkers(&workload.Corpus{}, tools, 1, 1); err == nil {
 		t.Error("empty corpus accepted")
 	}
-	if _, err := Run(corpus, nil, 1); err == nil {
+	if _, err := runWorkers(corpus, nil, 1, 1); err == nil {
 		t.Error("no tools accepted")
 	}
-	if _, err := Run(corpus, []detectors.Tool{nil}, 1); err == nil {
+	if _, err := runWorkers(corpus, []detectors.Tool{nil}, 1, 1); err == nil {
 		t.Error("nil tool accepted")
 	}
 	dup := []detectors.Tool{detectors.NewSignatureSAST("x"), detectors.NewSignatureSAST("x")}
-	if _, err := Run(corpus, dup, 1); err == nil {
+	if _, err := runWorkers(corpus, dup, 1, 1); err == nil {
 		t.Error("duplicate tool names accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -10,22 +11,28 @@ import (
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
+// runWorkers runs the campaign under RunCtx with only a seed and a pool
+// size set — the default fail-fast execution policy.
+func runWorkers(corpus *workload.Corpus, tools []detectors.Tool, seed uint64, workers int) (*Campaign, error) {
+	return RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: workers})
+}
+
 // TestRunParallelEquivalence is the admissibility proof for the worker
-// pool: for every tested seed and worker count, RunParallel must produce a
-// Campaign deep-equal to serial Run — same Outcomes order, same confusion
+// pool: for every tested seed and worker count, RunCtx must produce a
+// Campaign deep-equal to the one-worker run — same Outcomes order, same confusion
 // matrices, same By* split maps. Any divergence means parallelism changed
 // the science, which is never acceptable.
 func TestRunParallelEquivalence(t *testing.T) {
 	corpus := testCorpus(t, 50, 3)
 	tools := testTools(t)
 	for _, seed := range []uint64{1, 7, 42} {
-		serial, err := Run(corpus, tools, seed)
+		serial, err := runWorkers(corpus, tools, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 13} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				par, err := RunParallel(corpus, tools, seed, workers)
+				par, err := runWorkers(corpus, tools, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,12 +66,12 @@ func TestRunParallelEquivalence(t *testing.T) {
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	corpus := testCorpus(t, 20, 1)
 	tools := testTools(t)
-	serial, err := Run(corpus, tools, 9)
+	serial, err := runWorkers(corpus, tools, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, -1} {
-		par, err := RunParallel(corpus, tools, 9, workers)
+		par, err := runWorkers(corpus, tools, 9, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,19 +81,19 @@ func TestRunParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestRunParallelValidation mirrors the serial input checks on the
-// parallel entry point.
+// TestRunParallelValidation mirrors the serial input checks on a
+// multi-worker pool.
 func TestRunParallelValidation(t *testing.T) {
 	corpus := testCorpus(t, 5, 1)
 	tools := testTools(t)
-	if _, err := RunParallel(nil, tools, 1, 4); err == nil {
+	if _, err := runWorkers(nil, tools, 1, 4); err == nil {
 		t.Error("nil corpus accepted")
 	}
-	if _, err := RunParallel(corpus, nil, 1, 4); err == nil {
+	if _, err := runWorkers(corpus, nil, 1, 4); err == nil {
 		t.Error("no tools accepted")
 	}
 	dup := []detectors.Tool{detectors.NewSignatureSAST("x"), detectors.NewSignatureSAST("x")}
-	if _, err := RunParallel(corpus, dup, 1, 4); err == nil {
+	if _, err := runWorkers(corpus, dup, 1, 4); err == nil {
 		t.Error("duplicate tool names accepted")
 	}
 }
@@ -108,7 +115,7 @@ func TestRunParallelPropagatesErrors(t *testing.T) {
 	corpus := testCorpus(t, 10, 1)
 	tools := []detectors.Tool{failingTool{name: "broken"}}
 	for _, workers := range []int{1, 4} {
-		if _, err := RunParallel(corpus, tools, 1, workers); err == nil {
+		if _, err := runWorkers(corpus, tools, 1, workers); err == nil {
 			t.Errorf("workers=%d: failing tool did not abort the campaign", workers)
 		}
 	}

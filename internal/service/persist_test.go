@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -286,6 +287,75 @@ func TestRecoveryOrphanBlobServesLazily(t *testing.T) {
 	}
 	if counterValue(svc, "vd_journal_blob_hits_total") != 1 {
 		t.Fatal("vd_journal_blob_hits_total did not count the lazy hit")
+	}
+}
+
+// TestRecoveryToleratesRemovedConfigFields: journals written before the
+// interpreter and exhaustive-oracle runtime modes were removed carry
+// "Interpreter" and "OracleExhaustive" in every submitted record's
+// config. Replay must still restore such a job under its journaled key
+// and rehydrate its result blob without running a campaign.
+func TestRecoveryToleratesRemovedConfigFields(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickCfg()
+	key := vdbench.ExperimentCacheKey("e1", cfg)
+	stored := vdbench.ExperimentResult{ID: "e1", Title: "journaled with mode fields"}
+	data, err := encodeResult(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := journal.OpenStore(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(raw[:len(raw)-1:len(raw)-1], `,"Interpreter":true,"OracleExhaustive":true}`...)
+	j, _, _, err := journal.Open(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "j-1"
+	for _, rec := range []journal.Record{
+		{Type: recSubmitted, Job: id, Ord: 1, Experiment: "e1", Key: key, Config: legacy},
+		{Type: recStarted, Job: id},
+		{Type: recFinished, Job: id, Status: string(StatusDone)},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g := newGate()
+	svc := mustNewService(t, Options{Workers: 1, DataDir: dir}, g.run)
+	defer svc.Close()
+	if rec := svc.Recovery(); rec.Restored != 1 || rec.Rehydrated != 1 || rec.Requeued != 0 {
+		t.Fatalf("recovery = %+v, want the done job restored and rehydrated", rec)
+	}
+	job, ok := svc.Job(id)
+	if !ok {
+		t.Fatalf("job %s not restored", id)
+	}
+	if job.Key() != key {
+		t.Fatalf("restored key %s, want %s", job.Key(), key)
+	}
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Title != stored.Title {
+		t.Fatalf("result title = %q, want the journaled blob", res.Title)
+	}
+	if g.count() != 0 {
+		t.Fatalf("replay executed %d campaigns, want 0", g.count())
 	}
 }
 

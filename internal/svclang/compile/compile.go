@@ -14,9 +14,8 @@
 // oracle-visible taint provenance, session-store effects and reject
 // unwinding. The differential test suite (every workload template, every
 // knob combination, fuzzed services) and the end-to-end experiment
-// byte-identity pins enforce this; the interpreter stays available behind
-// Engine's interpret flag (harness Options.Interpreter) as the reference
-// escape hatch.
+// byte-identity pins enforce this; the interpreter stays in
+// internal/svclang as the reference those tests compare against.
 package compile
 
 import (

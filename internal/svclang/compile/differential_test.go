@@ -159,7 +159,7 @@ func runDifferential(t *testing.T, ctx string, eng *compile.Engine, svc *svclang
 // entire template library: every template × every supported kind ×
 // vulnerable/safe, on oracle-pool and seeded random requests.
 func TestExecDifferentialTemplates(t *testing.T) {
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -180,7 +180,7 @@ func TestAnalyzeDifferentialTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive oracle differential skipped in -short")
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -233,22 +233,21 @@ func observeStream(t *testing.T, eng *compile.Engine, svc *svclang.Service, req 
 }
 
 // TestObserveDifferentialTemplates locks the streaming observation path
-// to the materialising one on both engines: the VM's Observe stream,
-// the interpret-mode engine's Observe stream and the interpreter's
-// Result.Events must agree event for event — IDs, kinds, silence,
-// values, structure fingerprints, rejection and session-store effects.
+// to the materialising one: the VM's Observe stream and the
+// interpreter's Result.Events must agree event for event — IDs, kinds,
+// silence, values, structure fingerprints, rejection and session-store
+// effects.
 // This is the contract the pentester's zero-allocation probing stands
 // on.
 func TestObserveDifferentialTemplates(t *testing.T) {
-	vm := compile.NewEngine(false)
-	interp := compile.NewEngine(true)
+	vm := compile.NewEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
 				name := fmt.Sprintf("%s/%s/vuln=%v", tmpl.Name, kind, vulnerable)
 				t.Run(name, func(t *testing.T) {
 					svc, _ := tmpl.Build("diff_svc", kind, vulnerable)
-					refStore, vmStore, interpStore := svclang.NewSessionStore(), svclang.NewSessionStore(), svclang.NewSessionStore()
+					refStore, vmStore := svclang.NewSessionStore(), svclang.NewSessionStore()
 					for i, req := range diffRequests(svc) {
 						rctx := fmt.Sprintf("req %d %v", i, req)
 						res, err := svclang.ExecuteInSession(svc, req, refStore)
@@ -266,47 +265,21 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 							})
 						}
 						vmEvents, vmRejected := observeStream(t, vm, svc, req, vmStore)
-						interpEvents, interpRejected := observeStream(t, interp, svc, req, interpStore)
-						if vmRejected != res.Rejected || interpRejected != res.Rejected {
-							t.Fatalf("%s: rejected: interpreter=%v vm-observe=%v interp-observe=%v",
-								rctx, res.Rejected, vmRejected, interpRejected)
+						if vmRejected != res.Rejected {
+							t.Fatalf("%s: rejected: interpreter=%v vm-observe=%v", rctx, res.Rejected, vmRejected)
 						}
-						if len(vmEvents) != len(want) || len(interpEvents) != len(want) {
-							t.Fatalf("%s: event counts: interpreter=%d vm-observe=%d interp-observe=%d",
-								rctx, len(want), len(vmEvents), len(interpEvents))
+						if len(vmEvents) != len(want) {
+							t.Fatalf("%s: event counts: interpreter=%d vm-observe=%d", rctx, len(want), len(vmEvents))
 						}
 						for j := range want {
 							if vmEvents[j] != want[j] {
 								t.Fatalf("%s: event %d: interpreter=%+v vm-observe=%+v", rctx, j, want[j], vmEvents[j])
 							}
-							if interpEvents[j] != want[j] {
-								t.Fatalf("%s: event %d: interpreter=%+v interp-observe=%+v", rctx, j, want[j], interpEvents[j])
-							}
 						}
 						requireEqualStores(t, rctx+": vm store", refStore, vmStore)
-						requireEqualStores(t, rctx+": interp store", refStore, interpStore)
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestEngineInterpreterMode checks the escape hatch is a true
-// pass-through: an interpret-mode engine and the raw interpreter are the
-// same function.
-func TestEngineInterpreterMode(t *testing.T) {
-	eng := compile.NewEngine(true)
-	if !eng.Interpreting() {
-		t.Fatal("NewEngine(true).Interpreting() = false")
-	}
-	tmpl := workload.Templates()[0]
-	svc, _ := tmpl.Build("interp_svc", tmpl.Kinds[0], true)
-	for _, req := range diffRequests(svc)[:6] {
-		ref, refErr := svclang.Execute(svc, req)
-		got, gotErr := eng.Execute(svc, req)
-		if (refErr == nil) != (gotErr == nil) || !reflect.DeepEqual(ref, got) {
-			t.Fatalf("interpret-mode engine diverged on %v", req)
 		}
 	}
 }
@@ -324,7 +297,7 @@ func FuzzExecDifferential(f *testing.F) {
 			}
 		}
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	f.Fuzz(func(t *testing.T, src, p1, p2, p3 string) {
 		svc, err := svclang.ParseOne(src)
 		if err != nil {

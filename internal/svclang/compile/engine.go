@@ -8,15 +8,14 @@ import (
 )
 
 // Engine is the execution seam the rest of the benchmark runs through: a
-// compiled-program cache plus an arena pool, or — when constructed with
-// interpret=true — a transparent pass-through to the reference
-// tree-walking interpreter. One engine is shared by every tool in a
-// campaign (the harness binds it like the cfg compile cache), so each
-// service compiles exactly once no matter how many probes hit it.
+// compiled-program cache plus an arena pool. One engine is shared by
+// every tool in a campaign (the harness binds it like the cfg compile
+// cache), so each service compiles exactly once no matter how many
+// probes hit it. The tree-walking interpreter and the exhaustive oracle
+// search are test references only: the differential suites compare the
+// engine against svclang.ExecuteInSession, svclang.Analyze and
+// svclang.AnalyzeProbingExhaustive directly.
 type Engine struct {
-	interpret        bool
-	oracleExhaustive bool
-
 	mu    sync.Mutex
 	progs map[*svclang.Service]*progEntry
 
@@ -35,30 +34,12 @@ type progEntry struct {
 	err  error
 }
 
-// NewEngine returns an execution engine. interpret=true bypasses the
-// compiler entirely and delegates to svclang.ExecuteInSession — the
-// escape hatch behind harness Options.Interpreter and the reference
-// side of every differential test.
-func NewEngine(interpret bool) *Engine {
-	e := &Engine{interpret: interpret, progs: map[*svclang.Service]*progEntry{}}
+// NewEngine returns an execution engine with an empty program cache.
+func NewEngine() *Engine {
+	e := &Engine{progs: map[*svclang.Service]*progEntry{}}
 	e.pool.New = func() any { return new(arena) }
 	return e
 }
-
-// Interpreting reports whether this engine runs the reference interpreter.
-func (e *Engine) Interpreting() bool { return e.interpret }
-
-// SetOracleExhaustive switches Analyze to the unpruned reference
-// search — the escape hatch behind the -oracle-exhaustive CLI flags,
-// symmetric to the -interpreter engine escape hatch. The labels and
-// witnesses are identical either way (the differential suite enforces
-// it); the exhaustive mode exists so any doubt about the pruning can
-// be settled by re-deriving the expensive way. Set before first use;
-// the mode is part of the oracle cache key.
-func (e *Engine) SetOracleExhaustive(v bool) { e.oracleExhaustive = v }
-
-// OracleExhaustive reports whether Analyze runs the unpruned search.
-func (e *Engine) OracleExhaustive() bool { return e.oracleExhaustive }
 
 // Program returns the compiled program for svc, compiling on first use.
 func (e *Engine) Program(svc *svclang.Service) (*Program, error) {
@@ -96,9 +77,6 @@ func (e *Engine) Execute(svc *svclang.Service, req svclang.Request) (svclang.Res
 // errors are exactly the interpreter's validation errors — Compile
 // front-loads the Validate call the interpreter repeats per request.
 func (e *Engine) ExecuteInSession(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) (svclang.Result, error) {
-	if e.interpret {
-		return svclang.ExecuteInSession(svc, req, store)
-	}
 	p, err := e.Program(svc)
 	if err != nil {
 		return svclang.Result{}, err
@@ -126,16 +104,6 @@ type ObserveFunc func(sinkID int, kind svclang.SinkKind, silent bool, chars []ru
 // interpreter, a rejection does not retract the events streamed before
 // it — callers that want HTTP-400 semantics discard on rejected=true.
 func (e *Engine) Observe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, fn ObserveFunc) (rejected bool, err error) {
-	if e.interpret {
-		res, err := svclang.ExecuteInSession(svc, req, store)
-		if err != nil {
-			return false, err
-		}
-		for _, ev := range res.Events {
-			fn(ev.SinkID, ev.Kind, ev.Silent, ev.Value.Runes())
-		}
-		return res.Rejected, nil
-	}
 	p, err := e.Program(svc)
 	if err != nil {
 		return false, err
@@ -161,35 +129,12 @@ func (e *Engine) probe(svc *svclang.Service, req svclang.Request, store *svclang
 }
 
 // Analyze derives ground truth for svc, like svclang.Analyze but with
-// every probe executed through this engine — and, on the VM, judged
-// through the streaming probe path instead of materialised Results.
-// The search is influence-guided unless SetOracleExhaustive opted into
-// the unpruned reference enumeration. Results are memoised in the
-// process-wide content-addressed oracle cache (oraclecache.go), so
-// identical service bodies are derived once per mode.
+// every probe executed on the VM and judged through the streaming probe
+// path instead of materialised Results. The search is influence-guided.
+// Results are memoised in the process-wide content-addressed oracle
+// cache (oraclecache.go), so identical service bodies are derived once.
 func (e *Engine) Analyze(svc *svclang.Service) ([]svclang.GroundTruth, error) {
-	return oracleLookup(svc, e.interpret, e.oracleExhaustive, func() ([]svclang.GroundTruth, error) {
-		probe := e.probe
-		if e.interpret {
-			probe = interpProbe
-		}
-		if e.oracleExhaustive {
-			return svclang.AnalyzeProbingExhaustive(svc, probe)
-		}
-		return svclang.AnalyzeProbing(svc, probe)
+	return oracleLookup(svc, func() ([]svclang.GroundTruth, error) {
+		return svclang.AnalyzeProbing(svc, e.probe)
 	})
-}
-
-// interpProbe adapts the reference interpreter to the oracle's probe
-// seam, judging events with the shared structural-taint table; running
-// it through AnalyzeProbing is exactly svclang.Analyze.
-func interpProbe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
-	res, err := svclang.ExecuteInSession(svc, req, store)
-	if err != nil {
-		return err
-	}
-	for _, ev := range res.Events {
-		obs(ev.SinkID, ev.Kind, svclang.StructuralTaint(ev.Kind, ev.Value))
-	}
-	return nil
 }

@@ -16,36 +16,50 @@ import (
 // whole template library and over generated corpora at the canonical
 // determinism seeds.
 
-// analyzeModes enumerates the four (engine, search) combinations an
-// oracle derivation can run under.
-func analyzeModes() []struct {
-	name       string
-	interpret  bool
-	exhaustive bool
-} {
-	return []struct {
-		name       string
-		interpret  bool
-		exhaustive bool
-	}{
-		{"vm/pruned", false, false},
-		{"vm/exhaustive", false, true},
-		{"interp/pruned", true, false},
-		{"interp/exhaustive", true, true},
+// interpProbe adapts the reference interpreter to the oracle's probe
+// seam, judging events with the shared structural-taint table; running
+// it through AnalyzeProbing is exactly svclang.Analyze.
+func interpProbe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
+	res, err := svclang.ExecuteInSession(svc, req, store)
+	if err != nil {
+		return err
+	}
+	for _, ev := range res.Events {
+		obs(ev.SinkID, ev.Kind, svclang.StructuralTaint(ev.Kind, ev.Value))
+	}
+	return nil
+}
+
+// analyzeMode is one (engine, search) combination an oracle derivation
+// can run under.
+type analyzeMode struct {
+	name    string
+	analyze func(*svclang.Service) ([]svclang.GroundTruth, error)
+}
+
+// analyzeModes enumerates the four (engine, search) combinations over a
+// fresh engine. Only vm/pruned is the production path (Engine.Analyze,
+// cached); the other three are the uncached references it is locked to.
+func analyzeModes() []analyzeMode {
+	eng := compile.NewEngine()
+	return []analyzeMode{
+		{"vm/pruned", eng.Analyze},
+		{"vm/exhaustive", eng.AnalyzeExhaustive},
+		{"interp/pruned", svclang.Analyze},
+		{"interp/exhaustive", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+			return svclang.AnalyzeProbingExhaustive(svc, interpProbe)
+		}},
 	}
 }
 
-// analyzeAllModes derives svc's ground truth under every mode with a
-// fresh engine each and requires the results pairwise deep-equal,
-// returning the common truth.
+// analyzeAllModes derives svc's ground truth under every mode and
+// requires the results pairwise deep-equal, returning the common truth.
 func analyzeAllModes(t *testing.T, ctx string, svc *svclang.Service) []svclang.GroundTruth {
 	t.Helper()
 	var ref []svclang.GroundTruth
 	var refName string
 	for i, m := range analyzeModes() {
-		eng := compile.NewEngine(m.interpret)
-		eng.SetOracleExhaustive(m.exhaustive)
-		got, err := eng.Analyze(svc)
+		got, err := m.analyze(svc)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", ctx, m.name, err)
 		}
@@ -82,22 +96,21 @@ func TestAnalyzePrunedExhaustiveMatrixTemplates(t *testing.T) {
 }
 
 // TestAnalyzePrunedExhaustiveMatrixCorpora re-derives every service of
-// generated corpora at the determinism seeds through the exhaustive
-// reference and requires the corpus labels (derived pruned) to match,
-// witnesses included.
+// generated corpora at the determinism seeds through the uncached
+// exhaustive VM reference and requires the corpus labels (derived
+// pruned) to match, witnesses included.
 func TestAnalyzePrunedExhaustiveMatrixCorpora(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle corpus matrix skipped in -short")
 	}
-	exh := compile.NewEngine(false)
-	exh.SetOracleExhaustive(true)
+	exh := compile.NewEngine()
 	for _, seed := range diffSeeds {
 		corpus, err := workload.Generate(workload.Config{Services: 40, TargetPrevalence: 0.35, Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, cs := range corpus.Cases {
-			want, err := exh.Analyze(cs.Service)
+			want, err := exh.AnalyzeExhaustive(cs.Service)
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, cs.Service.Name, err)
 			}
@@ -120,14 +133,15 @@ func mustParseOne(t *testing.T, src string) *svclang.Service {
 }
 
 // TestOracleCacheContentAddressed pins the cache contract: one
-// derivation per distinct (body, mode), shared across engines and
-// service names, with zero probes on a hit and deep-copied results.
+// derivation per distinct body, shared across engines and service
+// names, with zero probes on a hit and deep-copied results — and the
+// cached answer equal to every uncached reference derivation.
 func TestOracleCacheContentAddressed(t *testing.T) {
 	body := "  param p0\n  sink sql concat(\"SELECT oraclecache_probe '\", p0, \"'\")\nend\n"
 	svcA := mustParseOne(t, "service cache_a\n"+body)
 	svcB := mustParseOne(t, "service cache_b\n"+body)
 
-	engA := compile.NewEngine(false)
+	engA := compile.NewEngine()
 	h0, m0 := compile.OracleCacheTotals()
 	first, err := engA.Analyze(svcA)
 	if err != nil {
@@ -141,7 +155,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	// A renamed service through a different engine is a hit, and a hit
 	// executes no probes at all.
 	probes0 := svclang.OracleTotalsSnapshot().Probes
-	engB := compile.NewEngine(false)
+	engB := compile.NewEngine()
 	second, err := engB.Analyze(svcB)
 	if err != nil {
 		t.Fatal(err)
@@ -172,18 +186,16 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 		t.Fatalf("witness mutation leaked into the cache:\nfirst=%+v\nthird=%+v", first, third)
 	}
 
-	// The mode bits partition the cache: the exhaustive escape hatch and
-	// the interpreter engine derive their own entries.
+	// The reference derivations bypass the cache entirely — a cached
+	// answer must never stand in for the check — and all agree with it.
 	for _, m := range analyzeModes()[1:] {
-		eng := compile.NewEngine(m.interpret)
-		eng.SetOracleExhaustive(m.exhaustive)
-		_, mBefore := compile.OracleCacheTotals()
-		got, err := eng.Analyze(svcA)
+		h0, m0 := compile.OracleCacheTotals()
+		got, err := m.analyze(svcA)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		if _, mAfter := compile.OracleCacheTotals(); mAfter != mBefore+1 {
-			t.Fatalf("%s: expected a distinct cache entry (misses %d→%d)", m.name, mBefore, mAfter)
+		if h1, m1 := compile.OracleCacheTotals(); h1 != h0 || m1 != m0 {
+			t.Fatalf("%s: reference derivation touched the cache (hits %d→%d misses %d→%d)", m.name, h0, h1, m0, m1)
 		}
 		if !reflect.DeepEqual(first, got) {
 			t.Fatalf("%s: truth diverged from pruned VM:\n%+v\nvs\n%+v", m.name, first, got)

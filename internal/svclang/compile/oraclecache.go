@@ -11,18 +11,17 @@ import (
 )
 
 // Content-addressed oracle cache: ground truth is a pure function of a
-// service's body (the name never appears in a GroundTruth) and of the
-// derivation mode, so identical services — template instantiations, the
-// per-worker corpus regenerations of internal/dist, repeated campaign
-// setups in one process — need only one influence-guided search. The
+// service's body (the name never appears in a GroundTruth), so identical
+// services — template instantiations, the per-worker corpus
+// regenerations of internal/dist, repeated campaign setups in one
+// process — need only one influence-guided search. The
 // cache is process-wide, like the cfg compile cache and the oracle
 // telemetry it composes with: keyed by the SHA-256 of the canonical
-// printed source with the name line stripped, plus the mode bits
-// (interpreter vs VM, pruned vs exhaustive). The mode bits are part of
-// the key even though every mode provably derives the same labels —
-// collapsing them would let a cached pruned result answer an exhaustive
-// escape-hatch request, masking exactly the divergence that mode exists
-// to expose.
+// printed source with the name line stripped. Only VM-probed pruned
+// derivations are cached; the reference derivations the differential
+// suites compare against (svclang.Analyze, AnalyzeProbingExhaustive)
+// never go through the cache, so a cached answer cannot mask a
+// divergence.
 //
 // Entries singleflight like progEntry: the first caller derives under
 // the entry's once while the cache stays unlocked for other keys.
@@ -35,10 +34,7 @@ import (
 // above any one corpus (hundreds), far below memory relevance.
 const oracleCacheCap = 2048
 
-type oracleKey struct {
-	sum  [sha256.Size]byte
-	mode uint8
-}
+type oracleKey [sha256.Size]byte
 
 type oracleEntry struct {
 	once   sync.Once
@@ -60,30 +56,23 @@ type oracleElem struct {
 	ent *oracleEntry
 }
 
-// oracleCacheKey derives the content address of svc under the given
-// mode bits. The printed form is canonical (Print ∘ Parse is the
-// identity on it), and its first line carries exactly the service name,
-// which ground truth is independent of — stripping it lets renamed
-// instantiations of one template share an entry.
-func oracleCacheKey(svc *svclang.Service, interpret, exhaustive bool) oracleKey {
+// oracleCacheKey derives the content address of svc. The printed form
+// is canonical (Print ∘ Parse is the identity on it), and its first line
+// carries exactly the service name, which ground truth is independent
+// of — stripping it lets renamed instantiations of one template share an
+// entry.
+func oracleCacheKey(svc *svclang.Service) oracleKey {
 	src := svclang.Print(svc)
 	if i := strings.IndexByte(src, '\n'); i >= 0 {
 		src = src[i+1:]
 	}
-	var mode uint8
-	if interpret {
-		mode |= 1
-	}
-	if exhaustive {
-		mode |= 2
-	}
-	return oracleKey{sum: sha256.Sum256([]byte(src)), mode: mode}
+	return sha256.Sum256([]byte(src))
 }
 
 // oracleLookup memoises derive under the service's content address,
 // returning a deep copy of the cached ground truth.
-func oracleLookup(svc *svclang.Service, interpret, exhaustive bool, derive func() ([]svclang.GroundTruth, error)) ([]svclang.GroundTruth, error) {
-	key := oracleCacheKey(svc, interpret, exhaustive)
+func oracleLookup(svc *svclang.Service, derive func() ([]svclang.GroundTruth, error)) ([]svclang.GroundTruth, error) {
+	key := oracleCacheKey(svc)
 
 	oracleMu.Lock()
 	el, ok := oracleCache[key]

@@ -416,8 +416,7 @@ func AnalyzeProbing(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 // AnalyzeProbingExhaustive derives ground truth by enumerating the full
 // value pool over every parameter assignment (two-request sequences for
 // stateful services) with no pruning and no early exit. It is the
-// reference the pruned search is differentially locked against, and the
-// engine behind the -oracle-exhaustive escape hatch.
+// reference the pruned search is differentially locked against.
 func AnalyzeProbingExhaustive(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 	return analyzeProbing(svc, probe, oracleModeExhaustive)
 }

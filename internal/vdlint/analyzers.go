@@ -263,9 +263,9 @@ func runCtxFirst(pass *Pass) {
 // ExecuteInSession, Observe, Analyze) rather than the raw tree-walking
 // entry points of package svclang. A raw svclang.Execute in a detector
 // or the harness silently bypasses the shared program cache and the
-// arena pool, costing a compile per probe; the engine's interpret mode
-// exists for the cases that genuinely need the reference interpreter.
-// Tests are exempt (the differential suites exist to call both).
+// arena pool, costing a compile per probe. The tree-walking interpreter
+// and the exhaustive oracle are test references only, so tests are
+// exempt (the differential suites exist to call both).
 var CompiledExec = &Analyzer{
 	Name: "compiledexec",
 	Doc:  "execution-path packages must run services through compile.Engine, not raw svclang.Execute/Analyze",

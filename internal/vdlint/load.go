@@ -33,10 +33,14 @@ const (
 	// under test. It is never imported by other units.
 	UnitTestAugmented
 	// UnitExternalTest is the external test package (package foo_test).
-	// Its import of the package under test resolves to the primary unit;
-	// the export_test.go idiom (external tests reaching symbols declared
-	// in in-package test files) is not supported and surfaces as a type
-	// error.
+	// Its import of the package under test resolves to the primary unit,
+	// except in a directory with an in-package export_test.go: there it
+	// resolves to the test-augmented unit, so the export_test.go idiom
+	// (external tests reaching symbols declared in in-package test
+	// files) type-checks. Unlike `go test`, the loader does not re-check
+	// intermediate packages against the augmented unit, so such an
+	// external test must not pass the package's types through another
+	// module package; doing so surfaces as a type error.
 	UnitExternalTest
 )
 
@@ -78,6 +82,7 @@ type Package struct {
 
 	imports []string   // unique import paths of Files
 	deps    []*Package // module-internal units this unit waits for
+	testOf  *Package   // external test: the augmented unit its import of the package under test resolves to (export_test.go)
 	level   int        // 0-based topological level
 }
 
@@ -273,14 +278,21 @@ func (prog *Program) splitUnits(rel string, byName map[string][]*ast.File) ([]*P
 		prog.byPath[pkgPath] = u
 		units = append(units, u)
 	}
+	var exportHook *Package
 	if len(inPkgTest) > 0 {
 		all := append(append([]*ast.File{}, primaryFiles...), inPkgTest...)
-		units = append(units, &Package{Path: pkgPath, Dir: rel, Name: primary, Kind: UnitTestAugmented,
-			Files: all, Owned: inPkgTest})
+		aug := &Package{Path: pkgPath, Dir: rel, Name: primary, Kind: UnitTestAugmented,
+			Files: all, Owned: inPkgTest}
+		units = append(units, aug)
+		for _, f := range inPkgTest {
+			if filepath.Base(prog.filename(f)) == "export_test.go" {
+				exportHook = aug
+			}
+		}
 	}
 	if len(external) > 0 {
 		units = append(units, &Package{Path: pkgPath + "_test", Dir: rel, Name: primary + "_test", Kind: UnitExternalTest,
-			Files: external, Owned: external})
+			Files: external, Owned: external, testOf: exportHook})
 	}
 	for _, u := range units {
 		u.imports = collectImports(u.Files)
@@ -321,6 +333,9 @@ func (prog *Program) resolveDeps() error {
 			dep, ok := prog.byPath[imp]
 			if !ok {
 				return fmt.Errorf("vdlint: %s (%s) imports %s, which has no buildable files", u.Path, u.Kind, imp)
+			}
+			if u.testOf != nil && imp == u.testOf.Path {
+				dep = u.testOf
 			}
 			u.deps = append(u.deps, dep)
 		}
@@ -528,9 +543,15 @@ func (prog *Program) importPath(path string) (*types.Package, error) {
 }
 
 // unitImporter adapts a Program to types.Importer for one unit check.
-type unitImporter struct{ prog *Program }
+type unitImporter struct {
+	prog *Program
+	u    *Package
+}
 
 func (ui unitImporter) Import(path string) (*types.Package, error) {
+	if ui.u.testOf != nil && path == ui.u.testOf.Path {
+		return ui.u.testOf.Types, nil
+	}
 	return ui.prog.importPath(path)
 }
 
@@ -539,7 +560,7 @@ func (ui unitImporter) Import(path string) (*types.Package, error) {
 func (prog *Program) check(u *Package) error {
 	var firstErr error
 	conf := types.Config{
-		Importer: unitImporter{prog},
+		Importer: unitImporter{prog, u},
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err

@@ -125,6 +125,23 @@ func TestLoadSplitsUnits(t *testing.T) {
 	}
 }
 
+// TestLoadExportTestHook: an external test reaching a symbol declared
+// in the in-package export_test.go type-checks against the augmented
+// unit, as under `go test`.
+func TestLoadExportTestHook(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                    fixtureGomod,
+		"internal/x/x.go":           "package x\nfunc inside() int { return 1 }\n",
+		"internal/x/export_test.go": "package x\nfunc Inside() int { return inside() }\n",
+		"internal/x/ext_test.go": "package x_test\nimport (\n\t\"testing\"\n\t\"example.com/fix/internal/x\"\n)\n" +
+			"func TestExt(t *testing.T) { _ = x.Inside() }\n",
+	})
+	prog := loadFixture(t, root)
+	if err := prog.EnsureTyped(newTestBudget()); err != nil {
+		t.Fatalf("external test could not reach the export_test.go hook: %v", err)
+	}
+}
+
 func TestLoadSkipsBuildConstrainedFiles(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": fixtureGomod,

@@ -122,19 +122,6 @@ type Config struct {
 	Mix DifficultyMix
 	// Seed drives all random choices.
 	Seed uint64
-	// Interpreter labels the corpus through the reference tree-walking
-	// interpreter instead of the default bytecode VM. Labels are engine-
-	// independent (the differential suite pins the engines to each other);
-	// the flag mirrors harness Options.Interpreter for end-to-end
-	// equivalence runs.
-	Interpreter bool
-	// OracleExhaustive labels the corpus through the unpruned reference
-	// oracle search instead of the default influence-guided one. Labels
-	// and witnesses are search-independent (the pruning differential
-	// suite pins the searches to each other); the flag is the
-	// -oracle-exhaustive escape hatch for settling any doubt the
-	// expensive way.
-	OracleExhaustive bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -178,8 +165,7 @@ func Generate(cfg Config) (*Corpus, error) {
 	// service once across its probe executions (while the process-wide
 	// oracle cache elides repeat derivations of identical bodies
 	// entirely).
-	eng := compile.NewEngine(cfg.Interpreter)
-	eng.SetOracleExhaustive(cfg.OracleExhaustive)
+	eng := compile.NewEngine()
 	corpus := &Corpus{Config: cfg}
 	buckets := map[Difficulty][]Template{
 		Easy:   TemplatesByDifficulty(Easy),
