@@ -42,6 +42,7 @@ type dataflowSAST struct {
 
 var _ Tool = (*dataflowSAST)(nil)
 var _ CompileCacheable = (*dataflowSAST)(nil)
+var _ Pure = (*dataflowSAST)(nil)
 
 // NewDataflowSAST builds a CFG-based static taint analyser with the given
 // configuration.
@@ -68,6 +69,10 @@ func (d *dataflowSAST) WithCompileCache(cc *cfg.Cache) Tool {
 }
 
 func (d *dataflowSAST) Name() string { return d.cfg.Name }
+
+// CellIdentity implements Pure. Analyze reads only cs.Service and
+// ignores its RNG; the compile cache changes speed, never reports.
+func (d *dataflowSAST) CellIdentity() any { return d.cfg }
 
 func (d *dataflowSAST) Class() Class { return ClassSAST }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -223,5 +224,33 @@ func TestUnaffectedCasesDelegate(t *testing.T) {
 	}
 	if delegated == 0 {
 		t.Fatal("rate 0.2 affected every case; placement hash is broken")
+	}
+}
+
+// TestWrapperForwardsExecEngine: the harness rebinds every
+// ExecEngineBindable tool to the campaign's shared engine. A
+// fault-wrapped pentester must take that binding too, so after one
+// analysis through the rebound wrapper the bound engine has compiled
+// the service.
+func TestWrapperForwardsExecEngine(t *testing.T) {
+	cs := testCases(t, 1)[0]
+	w, err := Wrap(detectors.NewPentester(detectors.PentesterConfig{Name: "pt", PayloadBudget: 1}), Config{Mode: ModePanic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, ok := w.(detectors.ExecEngineBindable)
+	if !ok {
+		t.Fatal("fault wrapper does not forward exec-engine binding")
+	}
+	eng := compile.NewEngine()
+	if _, err := eb.WithExecEngine(eng).Analyze(cs, stats.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := eng.Stats(); misses != 1 || hits == 0 {
+		t.Fatalf("bound engine stats = %d hits, %d misses; want the service compiled once and reused", hits, misses)
+	}
+	// A wrapped tool that executes nothing keeps the wrapper as is.
+	if got := mustWrap(t, Config{Mode: ModePanic}).(detectors.ExecEngineBindable).WithExecEngine(eng); got.Name() != "stub" {
+		t.Fatalf("rebinding a non-executing tool renamed it to %q", got.Name())
 	}
 }

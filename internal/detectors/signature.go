@@ -26,6 +26,7 @@ type signatureSAST struct {
 }
 
 var _ Tool = (*signatureSAST)(nil)
+var _ Pure = (*signatureSAST)(nil)
 
 // NewSignatureSAST builds a signature-matching static tool.
 func NewSignatureSAST(name string) Tool {
@@ -33,6 +34,11 @@ func NewSignatureSAST(name string) Tool {
 }
 
 func (t *signatureSAST) Name() string { return t.name }
+
+// CellIdentity implements Pure: Analyze reads only cs.Service and
+// ignores its RNG. The tool has no knobs, so its identity is the
+// name-only struct itself.
+func (t *signatureSAST) CellIdentity() any { return *t }
 
 func (t *signatureSAST) Class() Class { return ClassSAST }
 

@@ -51,6 +51,7 @@ type taintSAST struct {
 }
 
 var _ Tool = (*taintSAST)(nil)
+var _ Pure = (*taintSAST)(nil)
 
 // NewTaintSAST builds a static taint analyser with the given
 // configuration.
@@ -59,6 +60,10 @@ func NewTaintSAST(cfg TaintSASTConfig) Tool {
 }
 
 func (t *taintSAST) Name() string { return t.cfg.Name }
+
+// CellIdentity implements Pure: Analyze reads only cs.Service and
+// ignores its RNG.
+func (t *taintSAST) CellIdentity() any { return t.cfg }
 
 func (t *taintSAST) Class() Class { return ClassSAST }
 

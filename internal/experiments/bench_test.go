@@ -8,12 +8,14 @@ import (
 // BenchmarkLayer times one experiment driver per sub-benchmark at the
 // default configuration (the published one). The campaign and corpus are
 // built before the timer starts, so each iteration is the driver's own
-// work: for e7 the sign-stability resampling, for e18 the degraded
-// campaigns and their merges.
+// work as it is inside `vdbench all`, where the baseline campaign has
+// already filled the runner's cell store: for e7 the sign-stability
+// resampling, for e14 the combined campaign over memoised members, for
+// e18 the degraded campaigns and their merges.
 //
 //	go test -run '^$' -bench 'BenchmarkLayer' -benchtime 3x -benchmem ./internal/experiments
 func BenchmarkLayer(b *testing.B) {
-	for _, id := range []string{"e7", "e18"} {
+	for _, id := range []string{"e7", "e14", "e18"} {
 		b.Run(id, func(b *testing.B) {
 			ctx := context.Background()
 			r, err := NewRunner(DefaultConfig())

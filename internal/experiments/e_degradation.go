@@ -220,11 +220,15 @@ func (r *Runner) e18PanicCampaigns(ctx context.Context, corpus *workload.Corpus,
 	return skip, miss, nil
 }
 
-// e18Tools wraps the standard suite with fault injection.
+// e18Tools wraps the standard suite with fault injection. The cell
+// store sits under the fault wrapper: injected panics, hangs and
+// transient errors still reach the harness, byzantine reports are the
+// complement of the memoised cell, and every other cell is the
+// baseline campaign's.
 func (r *Runner) e18Tools(mode faulty.Mode, rate float64) ([]detectors.Tool, error) {
-	tools, err := detectors.StandardSuite()
+	tools, err := r.suiteTools()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: tool suite: %w", err)
+		return nil, err
 	}
 	for i, tool := range tools {
 		tools[i], err = faulty.Wrap(tool, faulty.Config{Mode: mode, Rate: rate, Seed: r.cfg.Seed})

@@ -197,11 +197,11 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 // (precision <= each member); intersection keeps only common findings
 // (the reverse); majority voting sits between.
 func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
-	corpus, err := workload.Generate(workload.Config{
-		Services:         r.cfg.Services,
-		TargetPrevalence: r.cfg.Prevalence,
-		Seed:             r.cfg.Seed,
-	})
+	// The campaign corpus, not the campaign: E14 must not inherit the
+	// baseline's execution policy. Its members are memoised, so each
+	// analyses a case once however many combinations include it, and
+	// not at all when the baseline already did.
+	corpus, err := r.campaignCorpus()
 	if err != nil {
 		return Result{}, err
 	}
@@ -209,9 +209,9 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 	// SAST misses wrong-sanitizer and loop-carried flows, the pentester
 	// misses silent and guarded sinks. Their combination is therefore the
 	// interesting one.
-	sast := detectors.NewTaintSAST(detectors.TaintSASTConfig{Name: "ts-lite", SinkAware: false})
-	dast := detectors.NewPentester(detectors.PentesterConfig{Name: "pt-deep", ExploreInputs: true})
-	grep := detectors.NewSignatureSAST("grep-sast")
+	sast := r.cells.Wrap(detectors.NewTaintSAST(detectors.TaintSASTConfig{Name: "ts-lite", SinkAware: false}))
+	dast := r.cells.Wrap(detectors.NewPentester(detectors.PentesterConfig{Name: "pt-deep", ExploreInputs: true}))
+	grep := r.cells.Wrap(detectors.NewSignatureSAST("grep-sast"))
 	union, err := detectors.NewCombined("sast∪dast", detectors.Union, []detectors.Tool{sast, dast})
 	if err != nil {
 		return Result{}, err

@@ -200,20 +200,28 @@ func (r Result) String() string {
 }
 
 // Runner executes experiments, caching the expensive shared inputs (the
-// metric property profiles and the benchmark campaign) across drivers.
-// A Runner is safe for concurrent use: All runs independent drivers on
-// the shared worker budget, and the lazy inputs are computed exactly once
-// behind sync.Once gates (results and errors are memoised — every input
-// is a deterministic function of the configuration, so a retry would fail
-// identically).
+// metric property profiles, the campaign corpus and the benchmark
+// campaign) across drivers. A Runner is safe for concurrent use: All
+// runs independent drivers on the shared worker budget, and the lazy
+// inputs are computed exactly once behind sync.Once gates (results and
+// errors are memoised — every input is a deterministic function of the
+// configuration, so a retry would fail identically).
 type Runner struct {
 	cfg    Config
 	budget *workpool.Budget
 	exec   CampaignExecutor
+	// cells memoises the pure tools' analyses of the campaign corpus
+	// across the campaigns that re-run them (the baseline, E14 and E18).
+	// nil turns memoisation off; outputs are identical either way.
+	cells *detectors.CellStore
 
 	profilesOnce sync.Once
 	profiles     []metricprop.Profile
 	profilesErr  error
+
+	corpusOnce sync.Once
+	corpus     *workload.Corpus
+	corpusErr  error
 
 	campaignMu   sync.Mutex
 	campaignDone bool
@@ -226,7 +234,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, budget: workpool.New(cfg.Workers)}, nil
+	return &Runner{cfg: cfg, budget: workpool.New(cfg.Workers), cells: detectors.NewCellStore()}, nil
 }
 
 // Config returns the runner's configuration.
@@ -303,26 +311,56 @@ func (r *Runner) CampaignCtx(ctx context.Context) (*harness.Campaign, error) {
 	return r.campaign, r.campaignErr
 }
 
-func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
-	wcfg := workload.Config{
+// workloadConfig is the campaign corpus configuration.
+func (r *Runner) workloadConfig() workload.Config {
+	return workload.Config{
 		Services:         r.cfg.Services,
 		TargetPrevalence: r.cfg.Prevalence,
 		Seed:             r.cfg.Seed,
 	}
+}
+
+// campaignCorpus returns the campaign corpus, generating it on first
+// use. The in-process baseline campaign and E14 share this one object,
+// so their pure-tool cells share cell-store entries.
+func (r *Runner) campaignCorpus() (*workload.Corpus, error) {
+	r.corpusOnce.Do(func() {
+		r.corpus, r.corpusErr = workload.Generate(r.workloadConfig())
+		if r.corpusErr != nil {
+			r.corpusErr = fmt.Errorf("experiments: corpus: %w", r.corpusErr)
+		}
+	})
+	return r.corpus, r.corpusErr
+}
+
+// suiteTools returns the standard suite with its pure tools memoised
+// through the runner's cell store.
+func (r *Runner) suiteTools() ([]detectors.Tool, error) {
+	tools, err := detectors.StandardSuite()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: tool suite: %w", err)
+	}
+	for i, t := range tools {
+		tools[i] = r.cells.Wrap(t)
+	}
+	return tools, nil
+}
+
+func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 	if r.exec != nil {
-		campaign, err := r.exec.ExecuteCampaign(ctx, wcfg, "standard", r.cfg.execOptions())
+		campaign, err := r.exec.ExecuteCampaign(ctx, r.workloadConfig(), "standard", r.cfg.execOptions())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: campaign: %w", err)
 		}
 		return campaign, nil
 	}
-	corpus, err := workload.Generate(wcfg)
+	corpus, err := r.campaignCorpus()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: corpus: %w", err)
+		return nil, err
 	}
-	tools, err := detectors.StandardSuite()
+	tools, err := r.suiteTools()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: tool suite: %w", err)
+		return nil, err
 	}
 	campaign, err := harness.RunCtx(ctx, corpus, tools, r.cfg.execOptions())
 	if err != nil {

@@ -3,12 +3,14 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/metricprop"
+	"github.com/dsn2015/vdbench/internal/workload"
 )
 
 // tinyConfig is a heavily reduced configuration for the cross-worker
@@ -35,42 +37,84 @@ func tinyConfig(seed uint64, workers int) Config {
 	}
 }
 
-// renderAll runs every experiment and renders the concatenated text
-// output, the same artefact `vdbench all` prints.
-func renderAll(t *testing.T, cfg Config) string {
+// runAll runs every experiment on a fresh runner, with its cell store
+// off when storeOff is set, and returns the runner, the results and the
+// baseline campaign.
+func runAll(t *testing.T, cfg Config, storeOff bool) (*Runner, []Result, *harness.Campaign) {
 	t.Helper()
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if storeOff {
+		r.cells = nil
+	}
 	results, err := r.All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, res := range results {
-		sb.WriteString(res.String())
+	camp, err := r.Campaign()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sb.String()
+	return r, results, camp
 }
 
 // TestAllIdenticalAcrossWorkers is the end-to-end determinism pin of the
-// parallel layer: the full rendered output of every experiment must be
-// byte-identical across worker counts, for several seeds. This is the
-// acceptance criterion of the parallelisation work — worker count is a
-// scheduling knob, never a results knob.
+// parallel layer and the cell store: every experiment's results and the
+// baseline campaign (ledgers included) must be deeply equal across
+// worker counts, for several seeds, between a serial reference run with
+// the cell store off and runs with it on. Worker count is a scheduling
+// knob and the store a memo, never a results knob.
 func TestAllIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-worker matrix is slow")
 	}
 	for _, seed := range []uint64{1, 7, 42} {
-		want := renderAll(t, tinyConfig(seed, 1))
-		for _, workers := range []int{2, 4, 13} {
-			got := renderAll(t, tinyConfig(seed, workers))
-			if got != want {
-				t.Fatalf("seed %d: output at %d workers differs from serial output", seed, workers)
+		_, want, wantCamp := runAll(t, tinyConfig(seed, 1), true)
+		for _, workers := range []int{1, 2, 4, 13} {
+			_, got, gotCamp := runAll(t, tinyConfig(seed, workers), false)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: results at %d workers with the cell store differ from the serial run without it", seed, workers)
+			}
+			if !reflect.DeepEqual(gotCamp, wantCamp) {
+				t.Fatalf("seed %d: baseline campaign at %d workers with the cell store differs from the serial run without it", seed, workers)
 			}
 		}
+	}
+}
+
+// TestCellStoreCounts pins the cell-store counters of a full run. The
+// eight pure tools of the standard suite over the 30-case corpus are
+// 240 distinct cells, each analysed once (the misses). Every other pure
+// lookup is a hit: E14's 300 (ts-lite and pt-deep alone and in three
+// combinations, grep-sast alone and in one), E18's 1200 byzantine and
+// 240 transient lookups, and the 1025 lookups of its panic campaigns
+// (5 rates × 240 cells less the 175 an injected panic pre-empts).
+func TestCellStoreCounts(t *testing.T) {
+	r, _, _ := runAll(t, tinyConfig(1, 2), false)
+	if hits, misses := r.cells.Stats(); hits != 2765 || misses != 240 {
+		t.Fatalf("cell store: %d hits, %d misses; want 2765, 240", hits, misses)
+	}
+}
+
+// failingExecutor fails every campaign it is asked to run.
+type failingExecutor struct{}
+
+func (failingExecutor) ExecuteCampaign(context.Context, workload.Config, string, harness.Options) (*harness.Campaign, error) {
+	return nil, errors.New("baseline campaign unavailable")
+}
+
+// TestE14IndependentOfBaselineCampaign: E14 takes the campaign corpus,
+// not the campaign, so it runs even when the baseline cannot.
+func TestE14IndependentOfBaselineCampaign(t *testing.T) {
+	r, err := NewRunner(tinyConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetCampaignExecutor(failingExecutor{})
+	if _, err := r.RunCtx(context.Background(), "e14"); err != nil {
+		t.Fatalf("e14 failed with the baseline campaign unavailable: %v", err)
 	}
 }
 

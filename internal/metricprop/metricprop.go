@@ -434,15 +434,16 @@ func chanceSpread(m metrics.Metric) float64 {
 // quality q on a workload with the given positives/negatives split.
 func sampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) metrics.Confusion {
 	var c metrics.Confusion
+	tpr, fpr := stats.NewBernoulliSampler(q.TPR), stats.NewBernoulliSampler(q.FPR)
 	for i := 0; i < positives; i++ {
-		if rng.Bernoulli(q.TPR) {
+		if tpr.Sample(rng) {
 			c.TP++
 		} else {
 			c.FN++
 		}
 	}
 	for i := 0; i < negatives; i++ {
-		if rng.Bernoulli(q.FPR) {
+		if fpr.Sample(rng) {
 			c.FP++
 		} else {
 			c.TN++

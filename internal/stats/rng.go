@@ -100,15 +100,47 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Bernoulli returns true with probability p (clamped to [0,1]).
+// Bernoulli returns true with probability p (clamped to [0,1]): it is
+// Float64() < p, except that p <= 0 and p >= 1 consume no draw. Loops
+// that draw many times at one p should build a BernoulliSampler once.
 func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
+	return NewBernoulliSampler(p).Sample(r)
+}
+
+// BernoulliSampler draws Bernoulli(p) outcomes with one integer compare
+// per draw. Sample(r) returns what r.Bernoulli(p) returns and consumes
+// the same draws: none when p <= 0 or p >= 1, one otherwise (NaN takes
+// its draw and returns false, as Float64() < NaN does).
+//
+// Float64() < p is (u>>11)/2⁵³ < p, i.e. u>>11 < p·2⁵³. Scaling by a
+// power of two is exact in float64 and u>>11 is an integer, so comparing
+// with ceil(p·2⁵³) gives the same verdict for every p in (0, 1).
+type BernoulliSampler struct {
+	// threshold: with draw, Sample returns Uint64()>>11 < threshold;
+	// without, it returns threshold != 0.
+	threshold uint64
+	draw      bool
+}
+
+// NewBernoulliSampler precomputes the sampler for probability p.
+func NewBernoulliSampler(p float64) BernoulliSampler {
+	switch {
+	case p <= 0:
+		return BernoulliSampler{}
+	case p >= 1:
+		return BernoulliSampler{threshold: 1}
+	case p != p: // NaN
+		return BernoulliSampler{draw: true}
 	}
-	if p >= 1 {
-		return true
+	return BernoulliSampler{threshold: uint64(math.Ceil(p * (1 << 53))), draw: true}
+}
+
+// Sample draws one outcome from r.
+func (b BernoulliSampler) Sample(r *RNG) bool {
+	if !b.draw {
+		return b.threshold != 0
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < b.threshold
 }
 
 // NormFloat64 returns a standard-normal value using the polar

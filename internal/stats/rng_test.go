@@ -300,3 +300,106 @@ func TestIntnGolden(t *testing.T) {
 		}
 	}
 }
+
+// refBernoulli is the float comparison BernoulliSampler replaced.
+func refBernoulli(r *RNG, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
+// bernoulliProbes covers the edge cases of the integer threshold: the
+// no-draw clamps on both sides, the smallest subnormal (p·2⁵³ rounds up
+// to a threshold of 1), a tiny normal, interior values, the largest
+// double below 1 and NaN (one draw, never true).
+var bernoulliProbes = []float64{0, 5e-324, 1e-300, 1.0 / 3, 0.5, math.Nextafter(1, 0), 1, 2, -1, math.NaN()}
+
+// TestBernoulliSamplerMatchesFloat checks that the sampler and
+// RNG.Bernoulli return what the float comparison returns, draw for draw,
+// and leave the stream where it leaves it.
+func TestBernoulliSamplerMatchesFloat(t *testing.T) {
+	const n = 2000
+	for _, p := range bernoulliProbes {
+		ref, viaRNG, viaSampler := NewRNG(3), NewRNG(3), NewRNG(3)
+		s := NewBernoulliSampler(p)
+		for i := 0; i < n; i++ {
+			want := refBernoulli(ref, p)
+			if got := viaRNG.Bernoulli(p); got != want {
+				t.Fatalf("Bernoulli(%g) draw %d = %v, want %v", p, i, got, want)
+			}
+			if got := s.Sample(viaSampler); got != want {
+				t.Fatalf("sampler(%g) draw %d = %v, want %v", p, i, got, want)
+			}
+		}
+		want := ref.Uint64()
+		if viaRNG.Uint64() != want || viaSampler.Uint64() != want {
+			t.Fatalf("p=%g: stream position differs from the float comparison after %d draws", p, n)
+		}
+	}
+}
+
+// TestBernoulliGolden pins outcomes and stream positions with literals
+// captured from the float comparison: trues is how many of 1000 draws
+// at seed 42 came out true, consumed how many Uint64 draws they took.
+func TestBernoulliGolden(t *testing.T) {
+	cases := []struct {
+		p               float64
+		trues, consumed int
+	}{
+		{0, 0, 0},
+		{5e-324, 0, 1000},
+		{1e-300, 0, 1000},
+		{1.0 / 3, 355, 1000},
+		{0.5, 506, 1000},
+		{math.Nextafter(1, 0), 1000, 1000},
+		{1, 1000, 0},
+		{2, 1000, 0},
+		{-1, 0, 0},
+		{math.NaN(), 0, 1000},
+	}
+	for _, c := range cases {
+		r := NewRNG(42)
+		s := NewBernoulliSampler(c.p)
+		trues := 0
+		for i := 0; i < 1000; i++ {
+			if s.Sample(r) {
+				trues++
+			}
+		}
+		if trues != c.trues {
+			t.Errorf("p=%g: %d trues, want %d", c.p, trues, c.trues)
+		}
+		ref := NewRNG(42)
+		for i := 0; i < c.consumed; i++ {
+			ref.Uint64()
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Errorf("p=%g: stream position differs from %d raw draws", c.p, c.consumed)
+		}
+	}
+}
+
+// TestBernoulliSamplerThresholds pins ceil(p·2⁵³) where rounding
+// matters: a floor would differ from the float comparison only on one
+// draw in 2⁵³, which no draw-by-draw test reaches.
+func TestBernoulliSamplerThresholds(t *testing.T) {
+	cases := []struct {
+		p    float64
+		want uint64
+	}{
+		{5e-324, 1},
+		{1e-300, 1},
+		{1.0 / 3, 3002399751580331},
+		{0.5, 1 << 52},
+		{math.Nextafter(1, 0), 1<<53 - 1},
+	}
+	for _, c := range cases {
+		if got := NewBernoulliSampler(c.p); !got.draw || got.threshold != c.want {
+			t.Errorf("p=%g: sampler %+v, want a draw against threshold %d", c.p, got, c.want)
+		}
+	}
+}
